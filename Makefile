@@ -95,23 +95,27 @@ netchaossmoke:
 	$(GO) test -race -count=1 -run 'TestRemote|TestSingleFlight' ./internal/dispatch
 	$(GO) test -race -count=1 -run TestServeRemoteBatch ./internal/serve
 
-# fuzzsmoke runs the differential fuzzer for a fixed-seed ten-second
-# session: seeded random programs (all six generation profiles) judged by
-# the full oracle stack — architectural differential vs the reference model,
-# bit-exact determinism, core invariants under squash storms, the gadget
-# security oracle — under every registered policy. Any finding fails ci.
+# fuzzsmoke runs the campaign driver in memory (no -campaign directory, so
+# nothing is written) for a fixed-seed ten-second campaign: seeded random
+# programs (all six generation profiles) and their coverage-guided mutants,
+# judged in parallel rounds by the full oracle stack — architectural
+# differential vs the reference model, bit-exact determinism, core
+# invariants under squash storms, the gadget security oracle — under every
+# registered policy, plus the attack expectation matrix. Any finding fails
+# ci.
 fuzzsmoke:
 	$(GO) run ./cmd/levfuzz -duration 10s -seed 1 -q
 
 # campaignsmoke is the coverage-guided campaign gate, under -race: a seeded
 # campaign is SIGKILLed mid-run from a subprocess and resumed — no committed
-# case may re-execute and the converged state file must be bit-identical to
-# an uninterrupted run's; the guided scheduler must beat blind generation at
-# a fixed seed and budget; and the daemon's /v1/fuzz endpoints must complete
-# a campaign end to end with valid Prometheus exposition for the
-# fuzz_campaign_* families.
+# round may re-execute and the converged state file must be bit-identical to
+# an uninterrupted run's; the state file must be byte-identical on 1, 2 and
+# 4 workers; the guided scheduler must beat blind generation at a fixed seed
+# and budget; and the daemon's /v1/fuzz endpoints must complete a campaign
+# end to end with valid Prometheus exposition for the fuzz_campaign_*
+# families.
 campaignsmoke:
-	$(GO) test -race -count=1 -run 'TestCampaignKillResume|TestCampaignResumeDeterminism|TestCampaignGuidedBeatsBlind' ./internal/fuzz
+	$(GO) test -race -count=1 -run 'TestCampaignKillResume|TestCampaignResumeDeterminism|TestCampaignWorkersInvariant|TestCampaignGuidedBeatsBlind' ./internal/fuzz
 	$(GO) test -race -count=1 -run 'TestServeFuzz' ./internal/serve
 
 # attacksmoke replays the attack expectation matrix: all four transient-

@@ -51,15 +51,11 @@ func TestCampaignResumeDeterminism(t *testing.T) {
 		t.Fatalf("uninterrupted: cases=%d resumed=%d", sumA.Cases, sumA.Resumed)
 	}
 
-	// Interrupt after 5 committed cases, then resume.
+	// Interrupt after the first committed round, then resume.
 	split := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	iopt := opt
-	iopt.Progress = func(p Progress) {
-		if p.Index >= 5 {
-			cancel()
-		}
-	}
+	iopt.Progress = func(p Progress) { cancel() }
 	if _, err := Campaign(ctx, split, iopt); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +63,8 @@ func TestCampaignResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sumB.Resumed != 5 || sumB.Cases != opt.Count-5 {
-		t.Errorf("resumed run: cases=%d resumed=%d, want %d/5", sumB.Cases, sumB.Resumed, opt.Count-5)
+	if sumB.Resumed != roundSize || sumB.Cases != opt.Count-roundSize {
+		t.Errorf("resumed run: cases=%d resumed=%d, want %d/%d", sumB.Cases, sumB.Resumed, opt.Count-roundSize, roundSize)
 	}
 
 	if a, b := readState(t, full), readState(t, split); string(a) != string(b) {
@@ -128,8 +124,8 @@ func TestCampaignKillResumeHelper(t *testing.T) {
 }
 
 // Crash-safety under a real kill -9: the state file is rewritten atomically
-// after every case, so a SIGKILL at an arbitrary instant loses at most the
-// in-flight case. The resumed campaign re-executes nothing committed and
+// after every round, so a SIGKILL at an arbitrary instant loses at most the
+// in-flight round. The resumed campaign re-executes nothing committed and
 // converges to the exact state an uninterrupted run produces.
 func TestCampaignKillResume(t *testing.T) {
 	if testing.Short() {
@@ -146,7 +142,7 @@ func TestCampaignKillResume(t *testing.T) {
 	}
 	defer cmd.Process.Kill()
 
-	// Wait for at least 3 committed cases, then kill -9.
+	// Wait for at least one committed round, then kill -9.
 	statePath := filepath.Join(dir, CampaignStateName)
 	deadline := time.Now().Add(60 * time.Second)
 	killedAt := -1
@@ -155,7 +151,7 @@ func TestCampaignKillResume(t *testing.T) {
 			var st struct {
 				NextIndex int `json:"next_index"`
 			}
-			if json.Unmarshal(b, &st) == nil && st.NextIndex >= 3 {
+			if json.Unmarshal(b, &st) == nil && st.NextIndex >= roundSize {
 				killedAt = st.NextIndex
 				break
 			}
@@ -191,6 +187,111 @@ func TestCampaignKillResume(t *testing.T) {
 	}
 	if a, b := readState(t, ref), readState(t, dir); string(a) != string(b) {
 		t.Error("post-kill state diverged from uninterrupted state")
+	}
+}
+
+// Rounds make the campaign independent of its worker count: the same seed
+// and a Count that ends in a partial round give byte-identical state files
+// on 1, 2 and 4 workers — and so does reaching that Count by extending a
+// campaign that stopped on a partial round (12, then 20).
+func TestCampaignWorkersInvariant(t *testing.T) {
+	opt := campaignTestOptions()
+	opt.Count = 20
+	// firstCount > 0: run to that count first, then extend to opt.Count.
+	runs := []struct{ workers, firstCount int }{{1, 0}, {2, 0}, {4, 0}, {2, 12}}
+	var want []byte
+	for _, run := range runs {
+		if opt.Count%roundSize == 0 || run.firstCount%roundSize == 0 && run.firstCount > 0 {
+			t.Fatalf("counts %d and %d must end in partial rounds", opt.Count, run.firstCount)
+		}
+		dir := t.TempDir()
+		wopt := opt
+		wopt.Workers = run.workers
+		if run.firstCount > 0 {
+			first := wopt
+			first.Count = run.firstCount
+			if _, err := Campaign(context.Background(), dir, first); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Campaign(context.Background(), dir, wopt); err != nil {
+			t.Fatal(err)
+		}
+		got := readState(t, dir)
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Errorf("workers=%d, first count %d: state diverged from workers=1", run.workers, run.firstCount)
+		}
+	}
+}
+
+// A campaign resumed with a raised Count inherits every committed case and
+// executes only the new ones (the resume path levfuzz -campaign and the
+// levserve re-POST share).
+func TestCampaignResumeSkipsCompleted(t *testing.T) {
+	dir := t.TempDir()
+	opt := campaignTestOptions()
+	opt.Seed = 1
+	opt.Count = 3
+	opt.Workers = 2
+	first, err := Campaign(context.Background(), dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cases != 3 || first.Resumed != 0 {
+		t.Fatalf("first invocation: cases=%d resumed=%d", first.Cases, first.Resumed)
+	}
+
+	opt.Count = 6
+	second, err := Campaign(context.Background(), dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Resumed != 3 || second.Cases != 3 {
+		t.Errorf("second invocation: cases=%d resumed=%d, want 3/3", second.Cases, second.Resumed)
+	}
+	if second.FindingCount < first.FindingCount {
+		t.Errorf("resume lost findings: %d -> %d", first.FindingCount, second.FindingCount)
+	}
+}
+
+// Without a directory the campaign keeps its state in memory: even with
+// findings to persist (a planted commit stall) it creates no file, neither a
+// state file nor a repro, in the working directory or anywhere else it
+// could resolve a relative path against.
+func TestCampaignInMemoryWritesNothing(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	if err := os.Chdir(tmp); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	opt := campaignTestOptions()
+	opt.Count = 3
+	opt.Profiles = []Profile{ProfileBranchStorm}
+	opt.NoShrink = false
+	opt.ShrinkBudget = 20
+	opt.Faults = &faultinject.Plan{Seed: 1, Faults: []faultinject.Fault{
+		{Kind: faultinject.CommitStall, Start: 100},
+	}}
+	sum, err := Campaign(context.Background(), "", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Cases != 3 || sum.FindingCount == 0 {
+		t.Fatalf("in-memory campaign: cases=%d findings=%d, want 3 cases with findings", sum.Cases, sum.FindingCount)
+	}
+	entries, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("in-memory campaign wrote %s", e.Name())
 	}
 }
 

@@ -114,7 +114,7 @@ type Case struct {
 	Secret byte
 }
 
-// CaseSeed derives the per-case seed from the session seed and case index
+// CaseSeed derives the per-case seed from the campaign seed and case index
 // (splitmix64 finalizer: consecutive indices give uncorrelated streams).
 func CaseSeed(base uint64, index int) uint64 {
 	z := base + uint64(index)*0x9e3779b97f4a7c15

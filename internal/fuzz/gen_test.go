@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Generation must be a pure function of (profile, seed, index): the journal
+// Generation must be a pure function of (profile, seed, index): campaign resume
 // and the shrinker both rely on re-deriving the identical program.
 func TestGenerateDeterministic(t *testing.T) {
 	for _, p := range Profiles() {

@@ -69,7 +69,7 @@ func TestNormalizeRejectsBounds(t *testing.T) {
 	}
 }
 
-// Policy specs come back canonicalized, so journals, campaign digests, and
+// Policy specs come back canonicalized, so repros, campaign digests, and
 // finding attributions see one spelling per configuration regardless of how
 // the caller spelled it.
 func TestNormalizeCanonicalizesPolicies(t *testing.T) {

@@ -107,7 +107,7 @@ func (v *Verdict) add(f Finding) { v.Findings = append(v.Findings, f) }
 //	(e) panic/limit capture funneled through simerr.
 //
 // The stack is deterministic: the same case with the same options yields the
-// same verdict, which is what makes corpus replay and journal resume exact.
+// same verdict, which is what makes corpus replay and campaign resume exact.
 func RunOracles(ctx context.Context, c *Case, opt Options) Verdict {
 	opt = opt.withDefaults()
 	var v Verdict
@@ -284,7 +284,7 @@ func coreInvariants(ctx context.Context, v *Verdict, c *Case, pol string, want r
 	}
 }
 
-// combinedPlan merges the session's injected faults with the storm fault.
+// combinedPlan merges the campaign's injected faults with the storm fault.
 // The seed mixes the case seed so storms differ per case but reproduce
 // exactly per (case, options).
 func combinedPlan(c *Case, opt Options, storm bool) *faultinject.Plan {

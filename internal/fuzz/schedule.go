@@ -9,9 +9,9 @@ import (
 // The campaign scheduler decides, per case index, whether to generate a
 // fresh program from the profile cycle or to mutate a corpus entry that
 // previously discovered new coverage. Everything is derived from the
-// per-case seed (CaseSeed) and the corpus contents at that index, so a
-// resumed campaign — which replays the same indices over the same persisted
-// corpus — makes bit-identical decisions.
+// per-case seed (CaseSeed) and the corpus as the round's in-order schedule
+// leaves it, so a resumed campaign — which replays the same rounds over the
+// same persisted corpus — makes bit-identical decisions.
 
 // corpusEntry is one coverage-discovering program retained for mutation.
 // Gadget cases are never admitted: their probe loop's output is the security
@@ -41,25 +41,19 @@ func (e *corpusEntry) program() (*isa.Program, error) {
 	return e.prog, nil
 }
 
-// scheduleCase produces the case for one campaign index: fresh generation
-// when the corpus is empty, the campaign is blind, or the seeded coin says
-// explore (~1 in 3); otherwise a mutant of a corpus entry, biased toward
-// entries that contributed more coverage. A mutant that cannot be built
-// (every candidate failed revalidation) falls back to fresh generation, so
-// the scheduler never wedges on a corpus of unmutatable programs.
-// Returns the case and the parent case index (-1 when generated fresh).
-func scheduleCase(opt Options, idx int, corpus []*corpusEntry) (*Case, int, error) {
+// scheduleCase decides one campaign index: fresh generation when the
+// corpus is empty, the campaign is blind, or the seeded coin says explore
+// (~1 in 3); otherwise a mutant of a corpus entry, biased toward entries
+// that contributed more coverage. A mutant that cannot be built (every
+// candidate failed revalidation) falls back to fresh generation, so the
+// scheduler never wedges on a corpus of unmutatable programs. Returns the
+// mutant and its parent's case index, or (nil, -1) for fresh generation,
+// which freshCase does off the in-order scheduling path.
+func scheduleCase(opt Options, idx int, corpus []*corpusEntry) (*Case, int) {
 	seed := CaseSeed(opt.Seed, idx)
 	rng := rand.New(rand.NewSource(int64(seed)))
-
-	fresh := func() (*Case, int, error) {
-		profile := opt.Profiles[idx%len(opt.Profiles)]
-		c, err := Generate(profile, seed, idx)
-		return c, -1, err
-	}
-
 	if opt.Blind || len(corpus) == 0 || rng.Intn(3) == 0 {
-		return fresh()
+		return nil, -1
 	}
 
 	e := pickEntry(rng, corpus)
@@ -67,7 +61,7 @@ func scheduleCase(opt Options, idx int, corpus []*corpusEntry) (*Case, int, erro
 	if err != nil {
 		// A corrupt corpus entry (hand-edited state file) degrades to fresh
 		// generation rather than killing the campaign.
-		return fresh()
+		return nil, -1
 	}
 	// A second (possibly identical) pick donates splice material.
 	donor, err := pickEntry(rng, corpus).program()
@@ -76,11 +70,18 @@ func scheduleCase(opt Options, idx int, corpus []*corpusEntry) (*Case, int, erro
 	}
 	mutated := mutate(rng, prog, donor)
 	if mutated == nil {
-		return fresh()
+		return nil, -1
 	}
 	e.Picks++
-	c := &Case{Seed: seed, Index: idx, Profile: e.Profile, Prog: mutated}
-	return c, e.Index, nil
+	return &Case{Seed: seed, Index: idx, Profile: e.Profile, Prog: mutated}, e.Index
+}
+
+// freshProfile is the profile a freshly generated case at idx uses.
+func freshProfile(opt Options, idx int) Profile { return opt.Profiles[idx%len(opt.Profiles)] }
+
+// freshCase generates the profile cycle's case for idx.
+func freshCase(opt Options, idx int) (*Case, error) {
+	return Generate(freshProfile(opt, idx), CaseSeed(opt.Seed, idx), idx)
 }
 
 // pickEntry samples the corpus weighted by coverage contribution decayed by

@@ -1,6 +1,6 @@
-// Package journal is the repository's crash-safe persistence primitive,
-// factored out of the two places that had grown identical copies of it
-// (the harness sweep journal and the fuzz session journal). It provides two
+// Package journal is the repository's crash-safe persistence primitive:
+// the one copy of the durability mechanics the harness sweep journal, the
+// fuzz campaign state and the fuzz repros share. It provides two
 // disciplines:
 //
 //   - File: an append-only JSON-lines record. Each Append is a single write
@@ -14,9 +14,9 @@
 //     so a reader sees either the old state or the complete new state,
 //     never a torn file.
 //
-// Callers stay typed: harness.Journal, fuzz.Journal, and the fuzz campaign
-// state are thin wrappers that own their entry schema and resume index; this
-// package owns only the durability mechanics.
+// Callers stay typed: harness.Journal (over File) and the fuzz campaign
+// state and repros (over WriteAtomic) own their schemas and resume logic;
+// this package owns only the durability mechanics.
 package journal
 
 import (

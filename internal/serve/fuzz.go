@@ -162,9 +162,14 @@ func decodeFuzzRequest(body io.Reader, fr *FuzzRequest) error {
 	return nil
 }
 
-// options translates the wire request into normalized campaign options.
+// options translates the wire request into normalized campaign options. A
+// campaign judges on one goroutine, so it holds exactly the one pool slot
+// it acquired, and skips the security matrix, which has nothing to do with
+// the request's programs.
 func (fr *FuzzRequest) options() (fuzz.Options, error) {
 	opt := fuzz.Options{
+		Workers:      1,
+		NoMatrix:     true,
 		Seed:         fr.Seed,
 		Count:        fr.Count,
 		Policies:     fr.Policies,
@@ -218,6 +223,15 @@ func (s *Server) handleFuzzStart(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.fuzzMu.Lock()
+	// Close cancels fuzzCtx under fuzzMu before it waits on fuzzWG, so no
+	// campaign can be added behind its back.
+	if s.fuzzCtx.Err() != nil {
+		s.fuzzMu.Unlock()
+		s.writeUnavailable(w, http.StatusServiceUnavailable, &simerr.RunError{
+			Kind: simerr.KindDeadline, Detail: "serve: server is closing", Err: s.fuzzCtx.Err(),
+		})
+		return
+	}
 	if prev, ok := s.fuzzRuns[id]; ok {
 		prev.mu.Lock()
 		running := prev.status == "running"
@@ -251,6 +265,7 @@ func (s *Server) handleFuzzStart(w http.ResponseWriter, r *http.Request) {
 
 	run := &campaignRun{id: id, dir: filepath.Join(s.fuzzDir(), id), status: "running"}
 	s.fuzzRuns[id] = run
+	s.fuzzWG.Add(1)
 	s.fuzzMu.Unlock()
 
 	opt.Progress = func(p fuzz.Progress) {
@@ -262,6 +277,7 @@ func (s *Server) handleFuzzStart(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	s.mSimInflight.Inc()
 	go func() {
+		defer s.fuzzWG.Done()
 		defer func() {
 			<-s.sem
 			s.inFlight.Add(-1)

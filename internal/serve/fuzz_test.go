@@ -213,9 +213,9 @@ func TestServeFuzzErrors(t *testing.T) {
 // TestServeFuzzPoolFull503 pins the load-shed contract: a campaign occupies
 // a worker slot for its whole life, so with one worker a second campaign is
 // refused with the retryable 503 envelope, and re-POSTing the running id is
-// a 409. The running campaign is cancelled by server Close.
+// a 409. Server Close cancels the running campaign and waits for it.
 func TestServeFuzzPoolFull503(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1, FuzzDir: t.TempDir()})
+	s, ts := startServer(t, Config{Workers: 1, FuzzDir: t.TempDir()})
 
 	// A long campaign (no count bound, 1h duration cap via deadline default)
 	// holds the only slot. Count is large enough to outlive the test.
@@ -249,6 +249,14 @@ func TestServeFuzzPoolFull503(t *testing.T) {
 	}
 	if env.Error.Kind != "deadline" || !env.Error.Retryable {
 		t.Errorf("503 envelope should be retryable deadline kind: %+v", env)
+	}
+
+	// Close returns only once the running campaign has stopped (freeing its
+	// slot); a campaign posted after that is refused, not started behind
+	// Close's back.
+	s.Close()
+	if _, resp := postFuzz(t, ts.URL, fuzzTestBody(t, FuzzRequest{ID: "late"})); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("campaign after Close: HTTP %d, want 503", resp.StatusCode)
 	}
 }
 

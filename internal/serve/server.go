@@ -154,11 +154,12 @@ type Server struct {
 	fleet    *dispatch.RemoteFleet // non-nil when cfg.Remote is set
 
 	// fuzz campaign lifecycle: id -> run, plus the context every campaign
-	// goroutine runs under (Close cancels it).
+	// goroutine runs under (Close cancels it and waits for them on fuzzWG).
 	fuzzMu     sync.Mutex
 	fuzzRuns   map[string]*campaignRun
 	fuzzCtx    context.Context
 	fuzzCancel context.CancelFunc
+	fuzzWG     sync.WaitGroup
 
 	accessLog io.Writer
 	logMu     sync.Mutex
@@ -259,11 +260,15 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close shuts down the batch coordinator and its workers, and cancels any
-// running fuzz campaigns (their state files keep every committed case, so a
-// later server resumes them). In-flight batch cells fail with transport
-// errors; the plain simulate path is unaffected.
+// running fuzz campaigns and waits for them to stop writing (their state
+// files keep every committed round, so a later server resumes them).
+// In-flight batch cells fail with transport errors; the plain simulate path
+// is unaffected.
 func (s *Server) Close() error {
+	s.fuzzMu.Lock()
 	s.fuzzCancel()
+	s.fuzzMu.Unlock()
+	s.fuzzWG.Wait()
 	return s.dispatch.Close()
 }
 
